@@ -7,9 +7,9 @@
 //   4. the thread runtime protocols on a real workload, feeding measured
 //      per-path durations back through the simulator;
 //   5. batched work stealing vs per-job dynamic dispatch on the thread
-//      runtime under injected message latency (the run_batch tentpole
+//      runtime under injected message latency (the BatchSteal policy's
 //      claim: batch throughput >= dynamic at >= 1 ms latency, with
-//      identical path results across all three schedulers);
+//      identical path results across all three policies);
 //   6. the Pieri tree scheduler under both session policies (FCFS vs
 //      BatchSteal, DESIGN.md section 7): level batches must cut master
 //      dispatches while producing the identical solution set.
@@ -222,7 +222,7 @@ int main() {
   // ---- 5. batch+steal vs per-job dynamic under injected latency --------------
   std::vector<JsonRow> json_rows;
   {
-    util::Table t("ABLATION 5 -- run_batch vs run_dynamic under injected latency "
+    util::Table t("ABLATION 5 -- BatchSteal vs FCFS sessions under injected latency "
                   "(4 ranks, real tracking)");
     t.set_header({"latency (ms)", "dynamic wall (s)", "batch wall (s)",
                   "dynamic paths/s", "batch paths/s", "batch wins", "identical"});

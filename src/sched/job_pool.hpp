@@ -157,12 +157,6 @@ std::vector<TrackedPath> unpack_tracked_path_batch(const std::vector<std::byte>&
 std::size_t guided_chunk_size(std::size_t remaining, std::size_t workers, double factor,
                               std::size_t min_chunk);
 
-/// Validate a fail-injection kill switch (used by the dynamic and batch
-/// schedulers): rank 0 is the master and can never be killed; an armed
-/// switch (kill_after_jobs set) must name an existing slave and leave at
-/// least one survivor.
-void validate_kill_switch(int kill_rank, bool armed, int ranks, const char* who);
-
 /// Sleep the calling rank for `seconds` (0 is a no-op): the schedulers'
 /// simulated per-message cost, charged on the sender before each send.
 void inject_latency(double seconds);

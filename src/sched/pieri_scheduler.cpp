@@ -292,7 +292,7 @@ std::vector<std::vector<linalg::Complex>> canonical_solution_set(
 }
 
 // ---------------------------------------------------------------------------
-// Facade (and its legacy-shaped deprecated twin)
+// Facade
 // ---------------------------------------------------------------------------
 
 ParallelPieriReport run_pieri(const schubert::PieriInput& input, int ranks,
@@ -316,8 +316,7 @@ ParallelPieriReport run_pieri(const schubert::PieriInput& input, int ranks,
   so.factor = opts.factor;
   so.min_batch = opts.min_batch;
   so.injected_latency = opts.injected_latency;
-  so.kill_slave_after_jobs = opts.kill_slave_after_jobs;
-  so.kill_slave_rank = opts.kill_slave_rank;
+  so.fault_plan = opts.fault_plan;
   so.who = "run_pieri";
   Session session(source, sink, so);
   const SessionStats stats = session.run(ranks);
@@ -329,11 +328,6 @@ ParallelPieriReport run_pieri(const schubert::PieriInput& input, int ranks,
   report.dispatches = stats.dispatches;
   report.steals = stats.steals;
   return report;
-}
-
-ParallelPieriReport run_parallel_pieri(const schubert::PieriInput& input, int ranks,
-                                       const ParallelPieriOptions& opts) {
-  return run_pieri(input, ranks, opts);
 }
 
 }  // namespace pph::sched

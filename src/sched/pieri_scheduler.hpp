@@ -12,8 +12,8 @@
 // Session, so the tree rides the same dispatch policies as the flat
 // path pools -- Policy::kFCFS (the paper's per-job protocol) or
 // Policy::kBatchSteal (level batches with master-brokered steals), with
-// the shared kill-switch/death-requeue fail injection.  Scheduling never
-// changes the numerics: both policies produce the same solution set.
+// the session's FaultPlan fail injection and death re-queue.  Scheduling
+// never changes the numerics: both policies produce the same solution set.
 //
 // On top of the paper's protocol this implementation adds the same
 // instance-level quality control as the sequential solver: all sibling
@@ -39,16 +39,16 @@ struct ParallelPieriOptions {
   /// batches + master-brokered steals).  kStatic is rejected -- tree jobs
   /// are created by results, so no pre-assignment exists.
   Policy policy = Policy::kFCFS;
-  /// BatchSteal knobs, as in BatchOptions.
+  /// BatchSteal knobs, as in SessionOptions::factor / min_batch.
   double factor = 2.0;
   std::size_t min_batch = 1;
-  /// Simulated per-message latency (seconds) as in DynamicOptions.
+  /// Simulated per-message latency (seconds), as in
+  /// SessionOptions::injected_latency.
   double injected_latency = 0.0;
-  /// Fail-injection hook for tests, as in DynamicOptions: the slave at
-  /// kill_slave_rank "dies" after completing this many edges; the master
-  /// re-queues the edges it held (validated by validate_kill_switch).
-  std::optional<std::size_t> kill_slave_after_jobs;
-  int kill_slave_rank = -1;
+  /// Fail injection, forwarded to SessionOptions::fault_plan: e.g.
+  /// FaultPlan().kill_announced(2, 3) kills slave 2 on its fourth edge and
+  /// the master re-queues the edges it held.
+  mp::FaultPlan fault_plan;
 };
 
 struct ParallelPieriReport {
@@ -168,11 +168,6 @@ class PieriTreeJobSource final : public JobSource {
 /// with a Session under opts.policy (kFCFS or kBatchSteal).
 ParallelPieriReport run_pieri(const schubert::PieriInput& input, int ranks,
                               const ParallelPieriOptions& opts = {});
-
-/// Legacy-shaped entry point; identical to run_pieri.
-[[deprecated("compose a sched::Session (or call sched::run_pieri)")]]
-ParallelPieriReport run_parallel_pieri(const schubert::PieriInput& input, int ranks,
-                                       const ParallelPieriOptions& opts = {});
 
 /// Canonical bitwise key of a solution set: the coordinate vectors sorted
 /// lexicographically by (real, imag).  Runs over the same input must

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <limits>
 #include <map>
 #include <optional>
 #include <set>
@@ -139,8 +140,9 @@ struct MasterContext {
   bool aborting = false;
   SupervisionState sup;
 
-  // Reliability layer (DESIGN.md section 13), serve() only; all nullptr in
-  // batch runs and when ReliabilityOptions::enabled is false.
+  // The arrival gate of a serve() (nullptr in a drain) and the reliability
+  // layer (DESIGN.md section 13), serve() only; rel/overload are nullptr
+  // too when ReliabilityOptions::enabled is false.
   StreamJobSource* stream = nullptr;
   ReliabilityState* rel = nullptr;
   OverloadController* overload = nullptr;
@@ -239,7 +241,7 @@ struct MasterContext {
     // quarantine charges on worker death, so deaths and failures count
     // against one budget.  The exhausted (or past-deadline) attempt falls
     // through and delivers its real kFailed result.
-    if (rel != nullptr && stream != nullptr && tp.worker >= 0 &&
+    if (rel != nullptr && tp.worker >= 0 &&
         tp.result.status == PathStatus::kFailed) {
       const RequestBudget& budget = rel->options().budget;
       const std::size_t used = ++sup.attempts[tp.index];
@@ -269,7 +271,7 @@ struct MasterContext {
     tp.worker = -1;  // synthesized on the master, no worker tracked it
     tp.result.status = PathStatus::kFailed;
     // In serve mode the stream accounts the request in its own quarantined
-    // bucket (NOT completed); batch runs go through plain consume().
+    // bucket (NOT completed); drains go through plain consume().
     const bool fresh = stream != nullptr
                            ? stream->consume_synthetic(
                                  tp, StreamJobSource::SyntheticKind::kQuarantined)
@@ -309,7 +311,7 @@ struct MasterContext {
       if (own == s) held.push_back(id);
     }
     // Descending + push_front puts the re-queued jobs at the front in
-    // ascending id order, as the legacy schedulers did.
+    // ascending id order.
     std::sort(held.begin(), held.end(), std::greater<>());
     for (const JobId id : held) {
       owner.erase(id);
@@ -694,8 +696,8 @@ void abort_session(MasterContext& ctx) {
   }
 }
 
-/// One master-side message, dispatched the same way in every loop shape
-/// (batch run_master, streamed run_serve_master, tests via either).
+/// One master-side message: the master loop's only dispatch point, for
+/// drains and serves alike.
 void handle_master_message(MasterContext& ctx, MasterPolicy& policy, const mp::Message& m) {
   ctx.note_message(m.source);
   if (m.tag == kTagHeartbeat) {
@@ -783,26 +785,6 @@ void finish_master(MasterContext& ctx) {
   }
 }
 
-void run_master(MasterContext& ctx, MasterPolicy& policy) {
-  policy.seed(ctx);
-  while (ctx.work_remains()) {
-    if (ctx.should_abort()) {
-      abort_session(ctx);
-      break;
-    }
-    if (ctx.sup_on()) {
-      // Timed tick instead of a blocking recv: silence is information.
-      if (auto m = ctx.comm.recv_for(ctx.opts.supervisor.heartbeat_seconds)) {
-        handle_master_message(ctx, policy, *m);
-      }
-      supervise(ctx, policy);
-    } else {
-      handle_master_message(ctx, policy, ctx.comm.recv());
-    }
-  }
-  finish_master(ctx);
-}
-
 /// The reliability sweep (DESIGN.md section 13), run on every serve tick:
 /// re-admit retries whose backoff elapsed, then expire requests whose
 /// deadline passed.  An expired request is removed from wherever it lives
@@ -810,9 +792,11 @@ void run_master(MasterContext& ctx, MasterPolicy& policy) {
 /// queue, or the retry heap -- and a kDeadlineExpired result is synthesized
 /// so the sink sees exactly one terminal record per request.  Returns true
 /// when anything changed (parked slaves should be woken / the loop should
-/// re-evaluate before sleeping).
-bool reliability_sweep(MasterContext& ctx, StreamJobSource& stream) {
+/// re-evaluate before sleeping).  A no-op without the layer (always so in
+/// a drain, which has no stream).
+bool reliability_sweep(MasterContext& ctx) {
   if (ctx.rel == nullptr) return false;
+  StreamJobSource& stream = *ctx.stream;
   bool changed = false;
   const double now = stream.now();
   while (const auto due = ctx.rel->pop_due_retry(now)) {
@@ -865,20 +849,31 @@ bool reliability_sweep(MasterContext& ctx, StreamJobSource& stream) {
   return changed;
 }
 
-/// The solve-service master loop (DESIGN.md section 10): admit arrivals as
-/// they come due, dispatch under the policy, sleep until the next timed
-/// event (arrival, per-request deadline, retry eligibility, serve deadline)
-/// or until a message lands, and on shutdown drain everything admitted or
-/// in flight before releasing the slaves.
-void run_serve_master(MasterContext& ctx, MasterPolicy& policy, StreamJobSource& stream) {
-  stream.begin();
+/// The master loop (DESIGN.md sections 7 and 10), one for every drain and
+/// every serve: admit arrivals as they come due, dispatch under the policy,
+/// sleep until the next timed event (arrival, per-request deadline, retry
+/// eligibility, serve deadline) or until a message lands, and once the
+/// arrival gate is closed drain everything admitted or in flight before
+/// releasing the slaves.  The gate is ctx.stream; a drain has none, so
+/// every job is ready at t=0, nothing is timed, the gate is closed from the
+/// start, and the loop blocks in recv() (recv_for(heartbeat) under
+/// supervision) between messages.
+void run_master(MasterContext& ctx, MasterPolicy& policy) {
+  StreamJobSource* const stream = ctx.stream;
+  if (stream != nullptr) stream->begin();
   util::WallTimer wall;
-  stream.poll();                    // a trace can start at t=0 (burst workloads)
-  reliability_sweep(ctx, stream);   // deadline-0 requests expire AT admission
-  policy.seed(ctx);                 // slaves with nothing to do park until arrivals come
+  if (stream != nullptr) {
+    stream->poll();           // a trace can start at t=0 (burst workloads)
+    reliability_sweep(ctx);   // deadline-0 requests expire AT admission
+  }
+  constexpr double kNever = std::numeric_limits<double>::infinity();
+  // Serve deadline in wall seconds; a drain (or a serve without one) never closes by time.
+  const double deadline =
+      stream != nullptr ? ctx.opts.serve_deadline_seconds.value_or(kNever) : kNever;
+  policy.seed(ctx);  // slaves with nothing to do park until work arrives
   for (;;) {
-    const std::size_t admitted = stream.poll();
-    const bool swept = reliability_sweep(ctx, stream);
+    const std::size_t admitted = stream != nullptr ? stream->poll() : 0;
+    const bool swept = reliability_sweep(ctx);
     if (admitted > 0 || swept) policy.wake_parked(ctx);
     bool handled = false;
     while (auto m = ctx.comm.try_recv()) {
@@ -891,18 +886,17 @@ void run_serve_master(MasterContext& ctx, MasterPolicy& policy, StreamJobSource&
       break;
     }
     supervise(ctx, policy);  // may free or fail work: run before the exit check
-    const auto& deadline = ctx.opts.serve_deadline_seconds;
-    if (deadline.has_value() && wall.seconds() >= *deadline) stream.close();
-    if (stream.closed() && !ctx.work_remains()) break;
+    if (wall.seconds() >= deadline) stream->close();
+    if ((stream == nullptr || stream->closed()) && !ctx.work_remains()) break;
     if (handled || admitted > 0 || swept) continue;  // state changed: re-evaluate first
     // Nothing due and nothing queued: sleep until the next timed event or
     // the next message, whichever comes first; under supervision the wait
     // is additionally bounded by the heartbeat tick.
-    double wait = stream.seconds_until_next_arrival();
+    double wait = stream != nullptr ? stream->seconds_until_next_arrival() : kNever;
     if (ctx.rel != nullptr) {
-      wait = std::min(wait, ctx.rel->seconds_until_next_event(stream.now()));
+      wait = std::min(wait, ctx.rel->seconds_until_next_event(stream->now()));
     }
-    if (deadline.has_value()) wait = std::min(wait, std::max(*deadline - wall.seconds(), 0.0));
+    wait = std::min(wait, std::max(deadline - wall.seconds(), 0.0));
     if (ctx.sup_on()) wait = std::min(wait, ctx.opts.supervisor.heartbeat_seconds);
     if (std::isinf(wait)) {
       // No timed event left: only in-flight work remains, so the next
@@ -917,9 +911,8 @@ void run_serve_master(MasterContext& ctx, MasterPolicy& policy, StreamJobSource&
 }
 
 // ---------------------------------------------------------------------------
-// Slave loops.  Fault injection is consulted at job boundaries: the plan is
-// the single fault source (the legacy kill switch arrives here as one
-// kDieAnnounced action).
+// Slave loops.  Fault injection is consulted at job boundaries: the
+// session's FaultPlan is the single fault source.
 // ---------------------------------------------------------------------------
 
 /// A hung rank does no work and sends nothing -- not even heartbeats -- but
@@ -934,8 +927,7 @@ void hang_until_released(mp::Comm& comm) {
 
 /// Consult the injector at a job boundary: arms straggler sleep (and takes
 /// it) as a side effect, and returns the terminal fault due now, if any --
-/// the caller acts on it and returns without a busy report, exactly as the
-/// legacy kill switch did.
+/// the caller acts on it and returns without a busy report.
 std::optional<mp::FaultKind> fault_at_job_boundary(mp::Comm& comm, mp::FaultInjector* fault,
                                                    std::size_t completed,
                                                    std::uint64_t job_id) {
@@ -1249,18 +1241,9 @@ SessionStats run_static_session(JobSource& source, ResultSink& sink, int ranks,
 }
 
 // ---------------------------------------------------------------------------
-// Fault-plan assembly + validation.
+// The master/slave path run() and serve() share: validation, then fault
+// injection, World::run and the policy pick.
 // ---------------------------------------------------------------------------
-
-/// The single fault source: the session's declarative plan, with the legacy
-/// cooperative kill switch folded in as one announced death.
-mp::FaultPlan effective_fault_plan(const SessionOptions& opts) {
-  mp::FaultPlan plan = opts.fault_plan;
-  if (opts.kill_slave_after_jobs.has_value()) {
-    plan.kill_announced(opts.kill_slave_rank, *opts.kill_slave_after_jobs);
-  }
-  return plan;
-}
 
 void validate_supervisor(const SupervisorOptions& so, const std::string& who) {
   if (!so.enabled) return;
@@ -1277,10 +1260,9 @@ void validate_supervisor(const SupervisorOptions& so, const std::string& who) {
   if (so.max_attempts == 0) throw std::invalid_argument(who + ": max_attempts must be positive");
 }
 
-void validate_fault_plan(const mp::FaultPlan& plan, int ranks, const SessionOptions& opts,
-                         const std::string& who) {
+void validate_fault_plan(const SessionOptions& opts, int ranks, const std::string& who) {
   std::set<int> terminal_ranks;
-  for (const auto& a : plan.actions()) {
+  for (const auto& a : opts.fault_plan.actions()) {
     if (a.rank == mp::kAnyFaultRank) {
       if (!a.on_job.has_value()) {
         throw std::invalid_argument(who + ": an any-rank fault needs an on_job trigger");
@@ -1300,6 +1282,61 @@ void validate_fault_plan(const mp::FaultPlan& plan, int ranks, const SessionOpti
   if (!terminal_ranks.empty() && static_cast<int>(terminal_ranks.size()) >= ranks - 1) {
     throw std::invalid_argument(who + ": the fault plan must leave at least one slave alive");
   }
+}
+
+/// Every check a master/slave session makes before any rank starts.  Called
+/// ahead of run_master_slave so serve() attaches its reliability hooks only
+/// to a session that will run.
+void validate_master_slave(const SessionOptions& opts, int ranks) {
+  const std::string who(opts.who);
+  if (ranks < 2) throw std::invalid_argument(who + ": need a master and at least one slave");
+  if (opts.policy == Policy::kBatchSteal && opts.factor <= 0.0) {
+    throw std::invalid_argument(who + ": factor must be positive");
+  }
+  validate_supervisor(opts.supervisor, who);
+  validate_fault_plan(opts, ranks, who);
+}
+
+/// Run a validated FCFS/BatchSteal session.  `stream` is serve()'s arrival
+/// gate and `rel`/`overload` its reliability state; a drain passes nullptr
+/// for all three (DESIGN.md section 7).
+SessionStats run_master_slave(JobSource& source, ResultSink& sink, const SessionOptions& opts,
+                              int ranks, StreamJobSource* stream = nullptr,
+                              ReliabilityState* rel = nullptr,
+                              OverloadController* overload = nullptr) {
+  mp::FaultInjector injector(opts.fault_plan, ranks);
+  mp::FaultInjector* fault = opts.fault_plan.empty() ? nullptr : &injector;
+
+  SessionStats stats;
+  stats.rank_busy_seconds.assign(static_cast<std::size_t>(ranks), 0.0);
+  util::WallTimer wall;
+
+  mp::World::run(
+      ranks,
+      [&](mp::Comm& comm) {
+        if (comm.rank() == 0) {
+          MasterContext ctx(comm, source, sink, opts, stats, ranks);
+          ctx.stream = stream;
+          ctx.rel = rel;
+          ctx.overload = overload;
+          if (opts.policy == Policy::kFCFS) {
+            FcfsPolicy policy;
+            run_master(ctx, policy);
+          } else {
+            BatchStealPolicy policy(ranks);
+            run_master(ctx, policy);
+          }
+        } else if (opts.policy == Policy::kFCFS) {
+          run_fcfs_slave(comm, source, opts, fault);
+        } else {
+          run_batch_slave(comm, source, opts, fault);
+        }
+      },
+      fault);
+
+  stats.wall_seconds = wall.seconds();
+  sink.finish();
+  return stats;
 }
 
 }  // namespace
@@ -1322,7 +1359,7 @@ SessionStats Session::run(int ranks) {
     if (!source_.fixed_total().has_value()) {
       throw std::invalid_argument(who + ": static pre-assignment needs a fixed job pool");
     }
-    if (opts_.kill_slave_after_jobs.has_value() || !opts_.fault_plan.empty()) {
+    if (!opts_.fault_plan.empty()) {
       throw std::invalid_argument(who + ": the static policy has no master to re-queue "
                                         "a dead slave's jobs");
     }
@@ -1336,46 +1373,8 @@ SessionStats Session::run(int ranks) {
     sink_.finish();
     return stats;
   }
-
-  if (ranks < 2) throw std::invalid_argument(who + ": need a master and at least one slave");
-  if (opts_.policy == Policy::kBatchSteal && opts_.factor <= 0.0) {
-    throw std::invalid_argument(who + ": factor must be positive");
-  }
-  validate_kill_switch(opts_.kill_slave_rank, opts_.kill_slave_after_jobs.has_value(), ranks,
-                       opts_.who);
-  validate_supervisor(opts_.supervisor, who);
-  const mp::FaultPlan plan = effective_fault_plan(opts_);
-  validate_fault_plan(plan, ranks, opts_, who);
-  mp::FaultInjector injector(plan, ranks);
-  mp::FaultInjector* fault = plan.empty() ? nullptr : &injector;
-
-  SessionStats stats;
-  stats.rank_busy_seconds.assign(static_cast<std::size_t>(ranks), 0.0);
-  util::WallTimer wall;
-
-  mp::World::run(
-      ranks,
-      [&](mp::Comm& comm) {
-        if (comm.rank() == 0) {
-          MasterContext ctx(comm, source_, sink_, opts_, stats, ranks);
-          if (opts_.policy == Policy::kFCFS) {
-            FcfsPolicy policy;
-            run_master(ctx, policy);
-          } else {
-            BatchStealPolicy policy(ranks);
-            run_master(ctx, policy);
-          }
-        } else if (opts_.policy == Policy::kFCFS) {
-          run_fcfs_slave(comm, source_, opts_, fault);
-        } else {
-          run_batch_slave(comm, source_, opts_, fault);
-        }
-      },
-      fault);
-
-  stats.wall_seconds = wall.seconds();
-  sink_.finish();
-  return stats;
+  validate_master_slave(opts_, ranks);
+  return run_master_slave(source_, sink_, opts_, ranks);
 }
 
 SessionStats Session::serve(int ranks) {
@@ -1389,21 +1388,8 @@ SessionStats Session::serve(int ranks) {
     throw std::invalid_argument(who + ": the static policy cannot serve a stream "
                                       "(jobs that have not arrived cannot be pre-assigned)");
   }
-  if (ranks < 2) throw std::invalid_argument(who + ": need a master and at least one slave");
-  if (opts_.policy == Policy::kBatchSteal && opts_.factor <= 0.0) {
-    throw std::invalid_argument(who + ": factor must be positive");
-  }
-  validate_kill_switch(opts_.kill_slave_rank, opts_.kill_slave_after_jobs.has_value(), ranks,
-                       opts_.who);
-  validate_supervisor(opts_.supervisor, who);
+  validate_master_slave(opts_, ranks);
   validate_reliability(opts_.reliability, who);
-  const mp::FaultPlan plan = effective_fault_plan(opts_);
-  validate_fault_plan(plan, ranks, opts_, who);
-  mp::FaultInjector injector(plan, ranks);
-  mp::FaultInjector* fault = plan.empty() ? nullptr : &injector;
-
-  SessionStats stats;
-  stats.rank_busy_seconds.assign(static_cast<std::size_t>(ranks), 0.0);
 
   // Reliability layer (DESIGN.md section 13): deadlines stamp through the
   // stream's admission hook, the brownout controller rides every depth
@@ -1419,32 +1405,9 @@ SessionStats Session::serve(int ranks) {
     }
   }
 
-  util::WallTimer wall;
-
-  mp::World::run(
-      ranks,
-      [&](mp::Comm& comm) {
-        if (comm.rank() == 0) {
-          MasterContext ctx(comm, source_, sink_, opts_, stats, ranks);
-          ctx.stream = stream;
-          ctx.rel = rel.has_value() ? &*rel : nullptr;
-          ctx.overload = controller.has_value() ? &*controller : nullptr;
-          if (opts_.policy == Policy::kFCFS) {
-            FcfsPolicy policy;
-            run_serve_master(ctx, policy, *stream);
-          } else {
-            BatchStealPolicy policy(ranks);
-            run_serve_master(ctx, policy, *stream);
-          }
-        } else if (opts_.policy == Policy::kFCFS) {
-          run_fcfs_slave(comm, source_, opts_, fault);
-        } else {
-          run_batch_slave(comm, source_, opts_, fault);
-        }
-      },
-      fault);
-
-  stats.wall_seconds = wall.seconds();
+  SessionStats stats = run_master_slave(source_, sink_, opts_, ranks, stream,
+                                        rel.has_value() ? &*rel : nullptr,
+                                        controller.has_value() ? &*controller : nullptr);
   stats.service = stream->take_service();
   if (controller.has_value()) {
     stats.reliability.brownout_transitions = controller->transitions().size();
@@ -1455,7 +1418,6 @@ SessionStats Session::serve(int ranks) {
   // outlive it.
   stream->set_admit_hook({});
   stream->set_overload(nullptr);
-  sink_.finish();
   return stats;
 }
 

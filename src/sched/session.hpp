@@ -10,19 +10,16 @@
 //   Policy     -- how jobs reach slaves: per-job FCFS dispatch, static
 //                 pre-assignment, or guided batches with master-brokered
 //                 work stealing -- one shared master loop, one set of
-//                 message tags (job_pool.hpp), one kill-switch and
-//                 death-requeue implementation;
+//                 message tags (job_pool.hpp), one death-requeue
+//                 implementation;
 //   ResultSink -- where finished jobs go: an in-memory report
 //                 (InMemoryReportSink), a streaming on-disk store
 //                 (JsonlStoreSink in sched/result_store.hpp), a latency
 //                 decorator (LatencySink), or several at once (tee(...)).
 //
 // The option/stat/policy types a session is composed from live in the
-// front-door header sched/api.hpp.  The legacy entry points (run_static,
-// run_dynamic, run_batch, run_parallel_pieri) are deprecated wrappers over
-// a Session; new code should compose a Session directly.  Scheduling never
-// changes the numerics: for a given source, every policy produces
-// bit-identical result sets.
+// front-door header sched/api.hpp.  Scheduling never changes the numerics:
+// for a given source, every policy produces bit-identical result sets.
 //
 // Robustness (DESIGN.md section 11): with SessionOptions::supervisor
 // enabled, the master tracks slave liveness via heartbeats (kTagHeartbeat)
@@ -64,12 +61,12 @@ class ResultSink {
   virtual void finish() {}
 };
 
-/// Collects every record in memory and assembles the legacy report.
+/// Collects every record in memory and assembles a ParallelRunReport.
 class InMemoryReportSink final : public ResultSink {
  public:
   void accept(const TrackedPath& tp) override { paths_.push_back(tp); }
   std::size_t count() const { return paths_.size(); }
-  /// The legacy ParallelRunReport: paths sorted + tallied, stats folded in.
+  /// The ParallelRunReport: paths sorted + tallied, stats folded in.
   /// One-shot: moves the collected records out of the sink (a second copy
   /// of a million-path result set has no business existing on the master).
   ParallelRunReport report(const SessionStats& stats);
@@ -243,8 +240,9 @@ class VectorJobSource final : public JobSource {
 class Session {
  public:
   Session(JobSource& source, ResultSink& sink, SessionOptions opts = {});
-  /// Run on `ranks` ranks.  FCFS/BatchSteal need >= 2 (rank 0 = master);
-  /// static runs on >= 1 (every rank tracks its share).
+  /// Run on `ranks` ranks.  FCFS/BatchSteal need >= 2 (rank 0 = master)
+  /// and run serve()'s master loop with every job ready at t=0; static
+  /// runs on >= 1 (every rank tracks its share).
   SessionStats run(int ranks);
   /// Long-lived solve service (DESIGN.md section 10): the source must be a
   /// StreamJobSource (sched/stream_source.hpp).  Admits jobs as their
@@ -262,8 +260,7 @@ class Session {
 };
 
 /// Facade for the common composition: track a PathWorkload under
-/// opts.policy, collecting the legacy report.  The four legacy run_*
-/// entry points delegate here / to Session.
+/// opts.policy, collecting the in-memory report.
 ParallelRunReport run_paths(const PathWorkload& workload, int ranks,
                             const SessionOptions& opts = {});
 

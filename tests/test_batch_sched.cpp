@@ -1,7 +1,8 @@
 // Tests for the batched work-stealing scheduler (DESIGN.md section 2,
 // "Batched work stealing"): adaptive batch sizing, result identity with the
-// sequential baseline and the other schedulers, forced steals, the
-// kill-a-slave fail-injection hook, and option validation.
+// sequential baseline and the other schedulers, forced steals, and
+// kill-a-slave fail injection.  Option validation is pinned for every
+// policy by test_session's RunAndServeRejectTheSameOptions.
 
 #include <gtest/gtest.h>
 
@@ -105,7 +106,7 @@ TEST_F(SchedulerTest, StealsRebalanceAcrossWorkers) {
 
 TEST_F(SchedulerTest, BatchSurvivesWorkerDeath) {
   // Rank 2 dies on its 4th path.
-  const auto opts = batch_opts().with_kill_after(3, /*rank=*/2);
+  const auto opts = batch_opts().with_fault_plan(pph::mp::FaultPlan().kill_announced(2, 3));
   const auto report = sched::run_paths(workload_, 4, opts);
   // All paths still tracked, by the surviving workers; the master
   // re-queues the dead slave's batch (including unreported results).
@@ -119,31 +120,11 @@ TEST_F(SchedulerTest, BatchSurvivesWorkerDeath) {
 TEST_F(SchedulerTest, BatchDeathUnderStealPressure) {
   // Death and stealing interact: the skewed seed concentrates the pool on
   // one slave, the kill hook removes another mid-run.
-  const auto opts =
-      batch_opts().with_batch(/*shrink_factor=*/0.1).with_kill_after(2, /*rank=*/1);
+  const auto opts = batch_opts()
+                        .with_batch(/*shrink_factor=*/0.1)
+                        .with_fault_plan(pph::mp::FaultPlan().kill_announced(1, 2));
   const auto report = sched::run_paths(workload_, 4, opts);
   expect_matches_baseline(report);
-}
-
-// ---- validation --------------------------------------------------------------
-
-TEST_F(SchedulerTest, BatchRequiresTwoRanks) {
-  EXPECT_THROW(sched::run_paths(workload_, 1, batch_opts()), std::invalid_argument);
-}
-
-TEST_F(SchedulerTest, BatchRejectsKillingTheMaster) {
-  const auto opts = batch_opts().with_kill_after(1, /*rank=*/0);
-  EXPECT_THROW(sched::run_paths(workload_, 4, opts), std::invalid_argument);
-}
-
-TEST_F(SchedulerTest, BatchRejectsOutOfRangeKillRank) {
-  const auto opts = batch_opts().with_kill_after(1, /*rank=*/9);
-  EXPECT_THROW(sched::run_paths(workload_, 4, opts), std::invalid_argument);
-}
-
-TEST_F(SchedulerTest, BatchRejectsNonPositiveFactor) {
-  const auto opts = batch_opts().with_batch(/*shrink_factor=*/0.0);
-  EXPECT_THROW(sched::run_paths(workload_, 4, opts), std::invalid_argument);
 }
 
 // ---- latency robustness ------------------------------------------------------

@@ -1,64 +1,89 @@
-// Tests for the unified scheduler sessions (sched/session.hpp): the
-// JobSource x Policy x ResultSink composition must reproduce the legacy
-// entry points bit for bit (the legacy-equivalence tests below deliberately
-// call the deprecated wrappers; the pragma scopes the opt-out), the Pieri tree source must ride both dispatch
-// policies with one solution set, the kill-switch fail injection must cover
-// the Pieri scheduler (death re-queue), and the checkpoint control
+// Tests for the unified scheduler sessions (sched/session.hpp): run() and
+// serve() must reject the same invalid options through their one shared
+// validation path, the Pieri tree source must ride both dispatch policies
+// with one solution set, fault-plan fail injection must cover the Pieri
+// scheduler (death re-queue), and the checkpoint control
 // (stop_after_results) must stop a session early without losing results.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
+#include <string>
 
-#include "sched/batch_scheduler.hpp"
-#include "sched/dynamic_scheduler.hpp"
 #include "sched/pieri_scheduler.hpp"
-#include "sched/static_scheduler.hpp"
+#include "sched/stream_source.hpp"
 #include "scheduler_fixture.hpp"
 
 namespace {
 
 using pph::linalg::Complex;
+using pph::mp::FaultPlan;
 using pph::schubert::PieriProblem;
 using pph::sched::Policy;
 using pph::sched::SessionOptions;
+using pph::sched::SupervisorOptions;
 using pph::testing::SchedulerTest;
 using pph::util::Prng;
 
-// ---- the facade vs the legacy wrappers --------------------------------------
-// The wrappers are deprecated; these equivalence tests are the one place
-// that still calls them ON PURPOSE, to pin the facade to the legacy
-// behavior bit for bit.  The pragma scopes the opt-out to exactly here.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
+// ---- validation parity -------------------------------------------------------
 
-TEST_F(SchedulerTest, RunPathsFcfsMatchesLegacyDynamic) {
-  SessionOptions opts;
-  opts.policy = Policy::kFCFS;
-  const auto session = pph::sched::run_paths(workload_, 4, opts);
-  const auto legacy = pph::sched::run_dynamic(workload_, 4);
-  expect_identical_results(session, legacy);
+TEST_F(SchedulerTest, RunAndServeRejectTheSameOptions) {
+  // A drain and a serve share one validation path: every invalid option
+  // throws from both, before any rank starts.
+  const std::vector<double> burst(starts_.size(), 0.0);
+  const auto expect_rejected = [&](const std::string& what, const SessionOptions& opts,
+                                   int ranks) {
+    SCOPED_TRACE(what + " under " + pph::sched::policy_name(opts.policy));
+    pph::sched::VectorJobSource source(workload_);
+    pph::sched::DiscardSink sink;
+    EXPECT_THROW(pph::sched::Session(source, sink, opts).run(ranks), std::invalid_argument);
+    pph::sched::VectorJobSource inner(workload_);
+    pph::sched::StreamJobSource stream(inner, burst);
+    EXPECT_THROW(pph::sched::Session(stream, sink, opts).serve(ranks), std::invalid_argument);
+  };
+  for (const Policy policy : {Policy::kFCFS, Policy::kBatchSteal}) {
+    const auto base = [policy] { return SessionOptions().with_policy(policy); };
+    const auto supervised = [&](SupervisorOptions so) { return base().with_supervision(so); };
+    expect_rejected("a fault on the master",
+                    base().with_fault_plan(FaultPlan().kill_announced(0, 1)), 4);
+    expect_rejected("a fault on rank >= ranks",
+                    base().with_fault_plan(FaultPlan().kill_announced(4, 1)), 4);
+    expect_rejected("an any-rank fault without an on_job trigger",
+                    supervised(SupervisorOptions())
+                        .with_fault_plan(FaultPlan().add(
+                            {pph::mp::kAnyFaultRank, pph::mp::FaultKind::kDieSilently, 0,
+                             std::nullopt, 0.0})),
+                    4);
+    expect_rejected("a silent death without supervision",
+                    base().with_fault_plan(FaultPlan().kill(2, 3)), 4);
+    expect_rejected("a hang without supervision", base().with_fault_plan(FaultPlan().hang(1, 0)),
+                    4);
+    expect_rejected("no slave left alive",
+                    supervised(SupervisorOptions())
+                        .with_fault_plan(FaultPlan().kill(1, 0).kill(2, 0).kill(3, 0)),
+                    4);
+    expect_rejected("heartbeat 0", supervised(SupervisorOptions().with_heartbeat(0.0)), 4);
+    expect_rejected("miss budget 0", supervised(SupervisorOptions().with_miss_budget(0)), 4);
+    expect_rejected("death multiplier < 1",
+                    supervised(SupervisorOptions().with_miss_budget(25, 0.5)), 4);
+    expect_rejected("ewma alpha 0", supervised(SupervisorOptions().with_ewma_alpha(0.0)), 4);
+    expect_rejected("ewma alpha > 1", supervised(SupervisorOptions().with_ewma_alpha(1.5)), 4);
+    expect_rejected("max attempts 0", supervised(SupervisorOptions().with_max_attempts(0)), 4);
+    expect_rejected("one rank", base(), 1);
+  }
+  for (const double factor : {0.0, -1.0}) {
+    expect_rejected("factor " + std::to_string(factor),
+                    SessionOptions().with_policy(Policy::kBatchSteal).with_batch(factor), 4);
+  }
+
+  // The Pieri facade forwards its plan into the same validation.
+  Prng rng(46);
+  const auto input = pph::schubert::random_pieri_input(PieriProblem{2, 2, 0}, rng);
+  pph::sched::ParallelPieriOptions pieri;
+  pieri.fault_plan.kill_announced(0, 1);
+  EXPECT_THROW(pph::sched::run_pieri(input, 4, pieri), std::invalid_argument);
 }
-
-TEST_F(SchedulerTest, RunPathsStaticMatchesLegacyStatic) {
-  SessionOptions opts;
-  opts.policy = Policy::kStatic;
-  opts.assignment = pph::sched::StaticAssignment::kBlock;
-  const auto session = pph::sched::run_paths(workload_, 3, opts);
-  const auto legacy = pph::sched::run_static(workload_, 3, pph::sched::StaticAssignment::kBlock);
-  expect_identical_results(session, legacy);
-}
-
-TEST_F(SchedulerTest, RunPathsBatchStealMatchesLegacyBatch) {
-  SessionOptions opts;
-  opts.policy = Policy::kBatchSteal;
-  const auto session = pph::sched::run_paths(workload_, 4, opts);
-  const auto legacy = pph::sched::run_batch(workload_, 4);
-  expect_identical_results(session, legacy);
-}
-
-#pragma GCC diagnostic pop
 
 TEST_F(SchedulerTest, FcfsHonorsInitialJobsPerSlave) {
   SessionOptions opts;
@@ -160,8 +185,7 @@ TEST(ParallelPieriSession, RejectsStaticPolicy) {
   EXPECT_THROW(pph::sched::run_pieri(input, 3, opts), std::invalid_argument);
 }
 
-// ---- Pieri fail injection (the satellite: the Pieri path was the only
-// scheduler without failure coverage) ----------------------------------------
+// ---- Pieri fail injection -----------------------------------------------------
 
 TEST(ParallelPieriSession, SurvivesWorkerDeathUnderFcfs) {
   const PieriProblem pb{2, 2, 1};
@@ -171,8 +195,7 @@ TEST(ParallelPieriSession, SurvivesWorkerDeathUnderFcfs) {
   ASSERT_TRUE(healthy.complete());
 
   pph::sched::ParallelPieriOptions opts;
-  opts.kill_slave_rank = 2;
-  opts.kill_slave_after_jobs = 3;  // rank 2 dies on its 4th edge
+  opts.fault_plan.kill_announced(2, 3);  // rank 2 dies on its 4th edge
   const auto report = pph::sched::run_pieri(input, 4, opts);
   // The master re-queues the dead slave's edges; the survivors finish the
   // tree with the full solution set.
@@ -190,30 +213,9 @@ TEST(ParallelPieriSession, SurvivesWorkerDeathUnderBatchSteal) {
   const auto input = pph::schubert::random_pieri_input(pb, rng);
   pph::sched::ParallelPieriOptions opts;
   opts.policy = Policy::kBatchSteal;
-  opts.kill_slave_rank = 1;
-  opts.kill_slave_after_jobs = 2;
+  opts.fault_plan.kill_announced(1, 2);
   const auto report = pph::sched::run_pieri(input, 4, opts);
   EXPECT_TRUE(report.complete());
-}
-
-TEST(ParallelPieriSession, RejectsKillingTheMaster) {
-  const PieriProblem pb{2, 2, 0};
-  Prng rng(46);
-  const auto input = pph::schubert::random_pieri_input(pb, rng);
-  pph::sched::ParallelPieriOptions opts;
-  opts.kill_slave_rank = 0;
-  opts.kill_slave_after_jobs = 1;
-  EXPECT_THROW(pph::sched::run_pieri(input, 4, opts), std::invalid_argument);
-}
-
-TEST(ParallelPieriSession, RejectsOutOfRangeKillRank) {
-  const PieriProblem pb{2, 2, 0};
-  Prng rng(46);
-  const auto input = pph::schubert::random_pieri_input(pb, rng);
-  pph::sched::ParallelPieriOptions opts;
-  opts.kill_slave_rank = 9;
-  opts.kill_slave_after_jobs = 1;
-  EXPECT_THROW(pph::sched::run_pieri(input, 4, opts), std::invalid_argument);
 }
 
 }  // namespace

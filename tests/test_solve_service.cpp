@@ -226,8 +226,9 @@ TEST_F(SchedulerTest, ServeSurvivesWorkerDeathWithZeroLoss) {
   sched::VectorJobSource inner(workload_);
   sched::StreamJobSource stream(inner, burst);
   sched::InMemoryReportSink sink;
-  sched::Session session(stream, sink,
-                         sched::SessionOptions().with_kill_after(3, /*rank=*/2));
+  sched::Session session(
+      stream, sink,
+      sched::SessionOptions().with_fault_plan(pph::mp::FaultPlan().kill_announced(2, 3)));
   const auto stats = session.serve(4);
   EXPECT_TRUE(stats.service.drained());
   EXPECT_EQ(stats.service.completed, 120u);
@@ -593,7 +594,6 @@ TEST_F(SchedulerTest, FluentOptionsSetEveryField) {
                         .with_initial_jobs(2)
                         .with_batch(3.0, 4)
                         .with_latency(0.001)
-                        .with_kill_after(5, 2)
                         .with_stop_after(7)
                         .with_serve_deadline(1.5)
                         .with_supervision(pph::sched::SupervisorOptions()
@@ -611,8 +611,6 @@ TEST_F(SchedulerTest, FluentOptionsSetEveryField) {
   EXPECT_DOUBLE_EQ(opts.factor, 3.0);
   EXPECT_EQ(opts.min_batch, 4u);
   EXPECT_DOUBLE_EQ(opts.injected_latency, 0.001);
-  EXPECT_EQ(opts.kill_slave_after_jobs, std::optional<std::size_t>(5));
-  EXPECT_EQ(opts.kill_slave_rank, 2);
   EXPECT_EQ(opts.stop_after_results, std::optional<std::size_t>(7));
   EXPECT_EQ(opts.serve_deadline_seconds, std::optional<double>(1.5));
   EXPECT_TRUE(opts.supervisor.enabled);  // with_supervision is the opt-in

@@ -214,16 +214,16 @@ TEST_F(SchedulerTest, ServeBatchStealSurvivesHangWithZeroLoss) {
   expect_matches_baseline(sink.report(stats));
 }
 
-// ---- the legacy kill switch is a fault-plan wrapper -------------------------
+// ---- cooperative deaths --------------------------------------------------------
 
-TEST_F(SchedulerTest, LegacyKillSwitchCountsAsAnnouncedDeath) {
-  // with_kill_after folds into the plan as one kDieAnnounced action: the
-  // cooperative kTagDead arrives, no silence verdict is ever needed.
+TEST_F(SchedulerTest, AnnouncedDeathUnderSupervisionNeedsNoSilenceVerdict) {
+  // A kDieAnnounced action sends the cooperative kTagDead: the supervisor
+  // counts it as announced, no silence verdict is ever needed.
   sched::VectorJobSource source(workload_);
   sched::InMemoryReportSink sink;
   sched::Session session(source, sink,
                          sched::SessionOptions()
-                             .with_kill_after(3, /*rank=*/2)
+                             .with_fault_plan(mp::FaultPlan().kill_announced(2, 3))
                              .with_supervision(test_supervisor()));
   const auto stats = session.run(4);
   EXPECT_EQ(stats.supervision.deaths_announced, 1u);
@@ -232,8 +232,8 @@ TEST_F(SchedulerTest, LegacyKillSwitchCountsAsAnnouncedDeath) {
 }
 
 TEST_F(SchedulerTest, AnnouncedDeathNeedsNoSupervisor) {
-  // A cooperative death is visible without supervision (as the legacy kill
-  // switch always was), and the announced-death counter still tallies it.
+  // A cooperative death is visible without supervision, and the
+  // announced-death counter still tallies it.
   sched::VectorJobSource source(workload_);
   sched::InMemoryReportSink sink;
   sched::Session session(
@@ -533,51 +533,9 @@ TEST_F(ChaosDeadlineMatrix, BatchStealConservesEveryRequestUnderDeadlines) {
 }
 
 // ---- front-door validation --------------------------------------------------
-
-TEST_F(SchedulerTest, UncooperativeFaultsRequireSupervision) {
-  sched::VectorJobSource source(workload_);
-  sched::DiscardSink sink;
-  sched::Session silent(
-      source, sink, sched::SessionOptions().with_fault_plan(mp::FaultPlan().kill(2, 3)));
-  EXPECT_THROW(silent.run(4), std::invalid_argument);
-  sched::VectorJobSource source2(workload_);
-  sched::Session hung(
-      source2, sink, sched::SessionOptions().with_fault_plan(mp::FaultPlan().hang(1, 0)));
-  EXPECT_THROW(hung.run(4), std::invalid_argument);
-}
-
-TEST_F(SchedulerTest, FaultPlanMustLeaveASlaveAlive) {
-  sched::VectorJobSource source(workload_);
-  sched::DiscardSink sink;
-  sched::Session session(source, sink,
-                         sched::SessionOptions()
-                             .with_fault_plan(mp::FaultPlan().kill(1, 0).kill(2, 0).kill(3, 0))
-                             .with_supervision(test_supervisor()));
-  EXPECT_THROW(session.run(4), std::invalid_argument);
-}
-
-TEST_F(SchedulerTest, FaultPlanRejectsMasterAndOutOfRangeRanks) {
-  sched::VectorJobSource source(workload_);
-  sched::DiscardSink sink;
-  sched::Session master(
-      source, sink,
-      sched::SessionOptions().with_fault_plan(mp::FaultPlan().kill_announced(0, 1)));
-  EXPECT_THROW(master.run(4), std::invalid_argument);
-  sched::VectorJobSource source2(workload_);
-  sched::Session oob(
-      source2, sink,
-      sched::SessionOptions().with_fault_plan(mp::FaultPlan().kill_announced(9, 1)));
-  EXPECT_THROW(oob.run(4), std::invalid_argument);
-  // An any-rank action without an on_job trigger is underspecified.
-  sched::VectorJobSource source3(workload_);
-  mp::FaultPlan bad;
-  bad.add({mp::kAnyFaultRank, mp::FaultKind::kDieSilently, 0, std::nullopt, 0.0});
-  sched::Session anyrank(source3, sink,
-                         sched::SessionOptions()
-                             .with_fault_plan(bad)
-                             .with_supervision(test_supervisor()));
-  EXPECT_THROW(anyrank.run(4), std::invalid_argument);
-}
+// Fault-plan and supervisor-knob rejections of the master/slave policies are
+// pinned for run() and serve() alike by test_session's
+// RunAndServeRejectTheSameOptions; the static policy is run()-only.
 
 TEST_F(SchedulerTest, StaticPolicyRejectsSupervisionAndFaults) {
   sched::VectorJobSource source(workload_);
@@ -594,25 +552,6 @@ TEST_F(SchedulerTest, StaticPolicyRejectsSupervisionAndFaults) {
           .with_policy(sched::Policy::kStatic)
           .with_fault_plan(mp::FaultPlan().kill_announced(1, 0)));
   EXPECT_THROW(faulted.run(3), std::invalid_argument);
-}
-
-TEST_F(SchedulerTest, SupervisorKnobsAreValidated) {
-  sched::VectorJobSource source(workload_);
-  sched::DiscardSink sink;
-  const auto run_with = [&](sched::SupervisorOptions so) {
-    sched::Session session(source, sink, sched::SessionOptions().with_supervision(so));
-    session.run(4);
-  };
-  EXPECT_THROW(run_with(sched::SupervisorOptions().with_heartbeat(0.0)),
-               std::invalid_argument);
-  EXPECT_THROW(run_with(sched::SupervisorOptions().with_miss_budget(0)),
-               std::invalid_argument);
-  EXPECT_THROW(run_with(sched::SupervisorOptions().with_miss_budget(10, 0.5)),
-               std::invalid_argument);
-  EXPECT_THROW(run_with(sched::SupervisorOptions().with_ewma_alpha(0.0)),
-               std::invalid_argument);
-  EXPECT_THROW(run_with(sched::SupervisorOptions().with_max_attempts(0)),
-               std::invalid_argument);
 }
 
 }  // namespace
