@@ -167,10 +167,10 @@ int main() {
                report.complete() ? "yes" : "NO",
                util::Table::cell(static_cast<std::size_t>(report.total_jobs)),
                util::Table::cell(report.peak_active_instances),
-               util::Table::cell(report.wall_seconds, 2)});
+               util::Table::cell(report.session.wall_seconds, 2)});
     if (ranks == widths.back()) {
-      json_rows.push_back({"pieri_parallel_compiled", report.wall_seconds, 0.0,
-                           static_cast<double>(report.total_jobs) / report.wall_seconds});
+      json_rows.push_back({"pieri_parallel_compiled", report.session.wall_seconds, 0.0,
+                           static_cast<double>(report.total_jobs) / report.session.wall_seconds});
     }
   }
   std::cout << t.to_string() << "\n";

@@ -272,17 +272,17 @@ int main() {
     t.set_header({"policy", "wall (s)", "jobs", "dispatches", "steals", "complete"});
     sched::ParallelPieriReport reports[2];
     for (int k = 0; k < 2; ++k) {
-      sched::ParallelPieriOptions opts;
-      opts.policy = k == 0 ? sched::Policy::kFCFS : sched::Policy::kBatchSteal;
-      reports[k] = sched::run_pieri(input, 4, opts);
+      const sched::Policy policy = k == 0 ? sched::Policy::kFCFS : sched::Policy::kBatchSteal;
+      reports[k] = sched::run_pieri(input, 4, sched::SessionOptions().with_policy(policy));
       const auto& r = reports[k];
-      t.add_row({sched::policy_name(opts.policy), util::Table::cell(r.wall_seconds, 2),
+      const auto& s = r.session;
+      t.add_row({sched::policy_name(policy), util::Table::cell(s.wall_seconds, 2),
                  util::Table::cell(static_cast<std::size_t>(r.total_jobs)),
-                 util::Table::cell(r.dispatches), util::Table::cell(r.steals),
+                 util::Table::cell(s.dispatches), util::Table::cell(s.steals),
                  r.complete() ? "yes" : "NO"});
-      json_rows.push_back({k == 0 ? "pieri_fcfs" : "pieri_batch_steal", r.wall_seconds,
-                           static_cast<double>(r.total_jobs) / r.wall_seconds,
-                           r.dispatches, r.steals});
+      json_rows.push_back({k == 0 ? "pieri_fcfs" : "pieri_batch_steal", s.wall_seconds,
+                           static_cast<double>(r.total_jobs) / s.wall_seconds, s.dispatches,
+                           s.steals});
     }
     const bool same_solutions = reports[0].complete() && reports[1].complete() &&
                                 sched::canonical_solution_set(reports[0].solutions) ==

@@ -12,7 +12,7 @@
 // assert exact recovery behaviour instead of hoping a race shows up.
 //
 // This is the single fault source of the runtime: a session takes its plan
-// through SessionOptions::fault_plan (ParallelPieriOptions::fault_plan for
+// through SessionOptions::fault_plan (run_pieri takes the same options for
 // the Pieri tree), and a cooperative test kill is one kDieAnnounced action
 // (FaultPlan::kill_announced).
 

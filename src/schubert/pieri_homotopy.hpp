@@ -28,14 +28,6 @@
 
 namespace pph::schubert {
 
-/// Family-level workspace of the compiled fast path: any PieriEdgeHomotopy
-/// evaluates through any instance of this type (the caches are keyed on
-/// the owning tape's construction id), so a scheduler slave allocates ONE
-/// of these and reuses it across every tree edge it tracks.
-struct PieriEvalWorkspace final : homotopy::HomotopyWorkspace {
-  eval::CompiledPieriHomotopy::Workspace w;
-};
-
 /// Square homotopy in the chart coordinates of the parent pattern.
 class PieriEdgeHomotopy final : public homotopy::Homotopy {
  public:
@@ -106,6 +98,21 @@ class PieriEdgeHomotopy final : public homotopy::Homotopy {
   bool compiled_enabled_ = true;
   mutable std::once_flag compile_once_;
   mutable std::unique_ptr<eval::CompiledPieriHomotopy> compiled_;
+};
+
+/// Family-level workspace of the compiled fast path: any PieriEdgeHomotopy
+/// evaluates through any instance of this type (the caches are keyed on
+/// the owning tape's construction id), so a Pieri tree worker allocates ONE
+/// of these and reuses it across every tree edge it tracks.
+struct PieriEvalWorkspace final : homotopy::HomotopyWorkspace {
+  eval::CompiledPieriHomotopy::Workspace w;
+  /// The edge-reuse slot (PieriTreeWalk::execute): the homotopy of the last
+  /// edge this worker tracked, keyed by its instance's (pivots, attempt).
+  /// Sibling edges share the deformation, so a run of them builds and
+  /// compiles one homotopy instead of one per edge.
+  std::vector<std::size_t> edge_pivots;
+  std::uint32_t edge_attempt = 0;
+  std::unique_ptr<PieriEdgeHomotopy> edge;
 };
 
 }  // namespace pph::schubert

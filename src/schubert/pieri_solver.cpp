@@ -1,9 +1,8 @@
 #include "schubert/pieri_solver.hpp"
 
 #include <algorithm>
-#include <map>
 
-#include "util/logging.hpp"
+#include "schubert/pieri_walk.hpp"
 #include "util/timer.hpp"
 
 namespace pph::schubert {
@@ -92,172 +91,19 @@ std::vector<std::size_t> rescue_targets(const std::vector<homotopy::PathResult>&
 }
 
 PieriSolveSummary solve_pieri(const PieriInput& input, const PieriSolverOptions& opts) {
-  const PieriProblem& pb = input.problem;
-  const std::size_t n = pb.condition_count();
-  if (input.conditions.size() != n) {
-    throw std::invalid_argument("solve_pieri: wrong number of conditions");
-  }
-
+  // The Pieri tree drained FIFO by one worker: the same walk, edges and
+  // deformations as a parallel run (sched::PieriTreeJobSource).
   util::WallTimer total_timer;
-  util::Prng gamma_rng(opts.gamma_seed);
-  PatternPoset poset(pb);
-
+  PieriTreeWalk walk(input, opts);
+  homotopy::TrackerWorkspace ws = walk.make_workspace();
+  while (walk.ready() > 0) {
+    const PieriTreeWalk::EdgeId id = walk.pop();
+    util::WallTimer edge_timer;
+    const homotopy::PathResult r = walk.execute(*walk.find(id), ws);
+    walk.consume(id, r, edge_timer.seconds());
+  }
   PieriSolveSummary summary;
-  summary.expected_count = poset.root_count();
-
-  // Solutions per pattern at the current level, keyed by pivot tuple.
-  std::map<std::vector<std::size_t>, std::vector<CVector>> current;
-  current[Pattern::minimal(pb).pivots()] = {CVector{}};
-
-  for (std::size_t level = 1; level <= n; ++level) {
-    util::WallTimer level_timer;
-    PieriLevelStats stats;
-    stats.level = level;
-
-    std::map<std::vector<std::size_t>, std::vector<CVector>> next;
-    // Conditions 1..level-1 are enforced, condition `level` is the target.
-    const std::vector<PlaneCondition> fixed(input.conditions.begin(),
-                                            input.conditions.begin() + (level - 1));
-    const PlaneCondition& target = input.conditions[level - 1];
-
-    for (const Pattern& parent : poset.patterns_at_level(level)) {
-      PatternChart chart(parent);
-
-      // Collect the start solutions: every solution of every child pattern,
-      // embedded with the freshly opened star cell at zero.
-      std::vector<CVector> starts;
-      for (const Pattern& child : parent.children()) {
-        const auto it = current.find(child.pivots());
-        if (it == current.end()) continue;
-        PatternChart child_chart(child);
-        for (const CVector& child_coords : it->second) {
-          starts.push_back(chart.embed_child(child_chart, child_coords));
-        }
-      }
-      if (starts.empty()) continue;
-
-      // Instance-level quality control.  All sibling edges into this
-      // (pattern, level) instance must ride the SAME deformation (same
-      // gamma); otherwise start solutions from different children can
-      // converge to the same endpoint and solutions are lost.  A retry
-      // therefore redoes the whole instance: fresh gamma, tighter tracker.
-      // Retries trigger on any edge failure and on endpoint collisions
-      // (path jumping between close paths).
-      std::vector<CVector> endpoints;
-      std::vector<double> edge_seconds;
-      std::size_t lost = 0;
-      bool accepted = false;
-      bool used_rescue = false;
-      for (std::size_t attempt = 0; attempt <= opts.max_retries && !accepted; ++attempt) {
-        endpoints.clear();
-        edge_seconds.clear();
-        const Complex gamma = gamma_rng.unit_complex();
-        // Random detour of the interpolation-point path: structured inputs
-        // (real plants, conjugate pole sets) can make the straight path
-        // non-generic for every gamma.
-        const Complex detour_s = 0.7 * gamma_rng.unit_complex();
-        const Complex detour_u = 0.7 * gamma_rng.unit_complex();
-        PieriEdgeHomotopy h(chart, fixed, target, gamma, detour_s, detour_u);
-        h.set_compiled(opts.compiled_eval);
-        const auto topts = attempt_tracker(opts, attempt);
-        homotopy::TrackerWorkspace ws(h);
-        std::vector<homotopy::PathResult> results;
-        results.reserve(starts.size());
-        for (const CVector& start : starts) {
-          util::WallTimer job_timer;
-          auto r = homotopy::track_path(h, start, topts, ws);
-          r.rescue_attempts = static_cast<std::uint32_t>(attempt);
-          edge_seconds.push_back(job_timer.seconds());
-          stats.newton_iterations += r.newton_iterations;
-          results.push_back(std::move(r));
-        }
-        // Targeted rescue rounds: re-track the failed, suspect and
-        // colliding paths under the SAME deformation with harsher
-        // tracking.  The start-to-root correspondence is fixed by gamma,
-        // so the re-track recovers exactly the root its path leads to --
-        // a fresh gamma could legitimately send two rescued starts to the
-        // same endpoint.
-        for (std::size_t round = 1; opts.rescue && round <= opts.rescue_attempts; ++round) {
-          const auto targets = rescue_targets(results, opts);
-          if (targets.empty()) break;
-          summary.suspect_paths += targets.size();
-          const auto ropts = attempt_tracker(opts, attempt, round);
-          for (const std::size_t i : targets) {
-            auto r = homotopy::track_path(h, starts[i], ropts, ws);
-            r.rescue_attempts = static_cast<std::uint32_t>(attempt + round);
-            r.rescued = r.converged();
-            stats.newton_iterations += r.newton_iterations;
-            ++summary.rescue_retracks;
-            used_rescue = true;
-            results[i] = std::move(r);
-          }
-        }
-        lost = 0;
-        for (const auto& r : results) {
-          if (r.converged()) {
-            endpoints.push_back(r.x);
-          } else {
-            ++lost;
-          }
-        }
-        const bool distinct =
-            poly::deduplicate_solutions(endpoints, opts.distinct_tolerance).size() ==
-            endpoints.size();
-        accepted = lost == 0 && distinct;
-        if (!accepted && attempt == opts.max_retries) {
-          // Count a collision pair as one lost path on top of the tracking
-          // losses, so `failures` reflects missing solutions downstream.
-          lost += endpoints.size() -
-                  poly::deduplicate_solutions(endpoints, opts.distinct_tolerance).size();
-          PPH_LOG_WARN << "Pieri instance failed at level " << level << " pattern "
-                       << parent.to_string() << " (" << lost << " paths lost)";
-          for (std::size_t i = 0; i < results.size(); ++i) {
-            const auto& r = results[i];
-            if (r.converged()) continue;
-            PPH_LOG_WARN << "  lost path " << i << ": status="
-                         << (r.status == homotopy::PathStatus::kDiverged ? "diverged" : "failed")
-                         << " t=" << r.t_reached << " residual=" << r.residual
-                         << " last_step=" << r.last_step << " rescue=" << r.rescue_attempts;
-          }
-        }
-      }
-      if (accepted && used_rescue) ++summary.rescued_instances;
-      if (!accepted) stats.failures += lost;
-      stats.jobs += starts.size();
-      summary.job_seconds.insert(summary.job_seconds.end(), edge_seconds.begin(),
-                                 edge_seconds.end());
-      next[parent.pivots()] = std::move(endpoints);
-    }
-
-    stats.seconds = level_timer.seconds();
-    summary.total_jobs += stats.jobs;
-    summary.failures += stats.failures;
-    summary.levels.push_back(stats);
-    current = std::move(next);
-  }
-
-  // The root level has exactly one pattern carrying all solutions.
-  const Pattern root = Pattern::root(pb);
-  PatternChart root_chart(root);
-  const auto it = current.find(root.pivots());
-  if (it != current.end()) {
-    for (const CVector& coords : it->second) {
-      summary.solutions.emplace_back(root_chart, coords);
-    }
-  }
-
-  // Verification: relative residual of every condition at every solution.
-  for (const auto& sol : summary.solutions) {
-    const double res = sol.max_residual(input.conditions);
-    summary.max_residual = std::max(summary.max_residual, res);
-    if (res < opts.verify_tolerance) ++summary.verified;
-  }
-  // Distinctness in chart coordinates.
-  std::vector<CVector> coord_list;
-  coord_list.reserve(summary.solutions.size());
-  for (const auto& sol : summary.solutions) coord_list.push_back(sol.coords());
-  summary.distinct = poly::deduplicate_solutions(coord_list, opts.distinct_tolerance).size();
-
+  walk.assemble(summary);
   summary.seconds = total_timer.seconds();
   return summary;
 }

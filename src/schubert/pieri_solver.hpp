@@ -1,10 +1,11 @@
 #pragma once
-// Sequential Pieri solver: walk the localization poset level by level from
-// the trivial map, tracking one Pieri homotopy per (solution, cover) edge,
-// until all solutions at the root pattern are found (paper sections
-// III-B/C).  The per-level job counts and timings this produces are the
-// data of the paper's Table III; the parallel scheduler (src/sched)
-// produces the same jobs from the virtual Pieri tree.
+// Sequential Pieri solver: drain the virtual Pieri tree (schubert/
+// pieri_walk.hpp) on one thread, tracking one Pieri homotopy per
+// (solution, cover) edge from the trivial map until all solutions at the
+// root pattern are found (paper sections III-B/C).  The per-level job
+// counts and timings this produces are the data of the paper's Table III;
+// the parallel scheduler (src/sched) drains the same walk on slaves, so
+// both give the same solution set bit for bit.
 
 #include "homotopy/certify.hpp"
 #include "homotopy/tracker.hpp"
@@ -59,7 +60,9 @@ homotopy::TrackerOptions attempt_tracker(const PieriSolverOptions& opts, std::si
 std::vector<std::size_t> rescue_targets(const std::vector<homotopy::PathResult>& results,
                                         const PieriSolverOptions& opts);
 
-/// Per-level accounting (the rows of the paper's Table III).
+/// Per-level accounting (the rows of the paper's Table III).  Every tracked
+/// path charges its seconds and Newton iterations to its level; `jobs`
+/// counts tree edges only (retried edges included, rescue re-tracks not).
 struct PieriLevelStats {
   std::size_t level = 0;
   std::uint64_t jobs = 0;
@@ -68,12 +71,15 @@ struct PieriLevelStats {
   std::uint64_t newton_iterations = 0;
 };
 
+/// The result of a Pieri solve, sequential or parallel (the parallel report
+/// adds the session's statistics).
 struct PieriSolveSummary {
   /// Solutions in the root pattern's chart.
   std::vector<PieriMap> solutions;
   std::vector<PieriLevelStats> levels;
   std::uint64_t total_jobs = 0;
   std::uint64_t failures = 0;
+  /// Wall seconds of the whole solve.
   double seconds = 0.0;
   /// Exact combinatorial root count (poset chain count).
   std::uint64_t expected_count = 0;
@@ -82,15 +88,19 @@ struct PieriSolveSummary {
   double max_residual = 0.0;
   /// Number of pairwise-distinct solutions.
   std::size_t distinct = 0;
-  /// Rescue provenance: single paths re-tracked by the rescue tier,
-  /// instances that passed quality control with rescue help, and rescue
-  /// targets observed (failed + suspect + colliding path sightings).
+  /// Rescue provenance (DESIGN.md section 9): single paths re-tracked by
+  /// the rescue tier, instances that passed quality control with rescue
+  /// help, and rescue targets observed (failed + suspect + colliding path
+  /// sightings).  Rescue re-tracks are not part of total_jobs.
   std::uint64_t rescue_retracks = 0;
   std::uint64_t rescued_instances = 0;
   std::uint64_t suspect_paths = 0;
-  /// Wall seconds of every individual tracking job, in execution order;
+  /// Seconds of every tree edge, in the order the results were consumed;
   /// this is the workload sample fed to the cluster simulator.
   std::vector<double> job_seconds;
+  /// High-water mark of simultaneously live instances: the memory
+  /// footprint argument of paper section III-C (tree nodes die fast).
+  std::size_t peak_active_instances = 0;
 
   bool complete() const {
     return failures == 0 && solutions.size() == expected_count &&

@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <memory>
 #include <stdexcept>
+#include <utility>
 
 #include "homotopy/certify.hpp"
 #include "homotopy/solver.hpp"
@@ -33,10 +34,13 @@ using pph::homotopy::SolveOptions;
 using pph::homotopy::TrackerOptions;
 using pph::linalg::Complex;
 using pph::linalg::CVector;
+using pph::mp::FaultPlan;
 using pph::poly::Monomial;
 using pph::poly::Polynomial;
 using pph::poly::PolySystem;
 using pph::schubert::PieriProblem;
+using pph::sched::Policy;
+using pph::sched::SessionOptions;
 using pph::schubert::PieriSolverOptions;
 using pph::util::Prng;
 
@@ -402,17 +406,16 @@ TEST(PieriCertify, ForcedRescueKeepsTheSolutionSetComplete) {
 TEST(PieriRescueFaultInjection, KilledSlaveLeavesRescueBitIdentical) {
   Prng rng(42);
   const auto input = pph::schubert::random_pieri_input(PieriProblem{2, 2, 1}, rng);
-  pph::sched::ParallelPieriOptions opts;
-  opts.solver.suspect_residual = 0.0;  // force rescue rounds on every instance
-  const auto healthy = pph::sched::run_pieri(input, 4, opts);
+  PieriSolverOptions solver;
+  solver.suspect_residual = 0.0;  // force rescue rounds on every instance
+  const auto healthy = pph::sched::run_pieri(input, 4, {}, solver);
   ASSERT_TRUE(healthy.complete());
   EXPECT_GT(healthy.rescue_retracks, 0u);
   EXPECT_GT(healthy.rescued_instances, 0u);
   EXPECT_GT(healthy.suspect_paths, 0u);
 
-  pph::sched::ParallelPieriOptions kill = opts;
-  kill.fault_plan.kill_announced(2, 3);
-  const auto wounded = pph::sched::run_pieri(input, 4, kill);
+  const auto wounded = pph::sched::run_pieri(
+      input, 4, SessionOptions().with_fault_plan(FaultPlan().kill_announced(2, 3)), solver);
   EXPECT_TRUE(wounded.complete());
   // The re-queued rescue re-tracks are deterministic, so the canonical
   // solution set and the rescue ledger both survive the death untouched.
@@ -430,14 +433,25 @@ TEST(PieriRescueFaultInjection, KilledSlaveLeavesRescueBitIdentical) {
   }
 }
 
-TEST(PieriRescueFaultInjection, SequentialAndParallelAgreeOnTheRootCount) {
+TEST(PieriRescueFaultInjection, SequentialAndParallelAgreeBitForBit) {
+  // solve_pieri and run_pieri drain one tree walk, so the solution sets are
+  // equal to the bit under every policy and across a slave death.
   Prng rng(11);
   const auto input = pph::schubert::random_pieri_input(PieriProblem{2, 2, 1}, rng);
   const auto sequential = pph::schubert::solve_pieri(input);
-  const auto parallel = pph::sched::run_pieri(input, 3);
-  EXPECT_TRUE(sequential.complete());
-  EXPECT_TRUE(parallel.complete());
-  EXPECT_EQ(parallel.solutions.size(), sequential.solutions.size());
+  ASSERT_TRUE(sequential.complete());
+  const auto key = pph::sched::canonical_solution_set(sequential.solutions);
+  const std::pair<const char*, SessionOptions> runs[] = {
+      {"FCFS", SessionOptions()},
+      {"BatchSteal", SessionOptions().with_policy(Policy::kBatchSteal)},
+      {"FCFS, slave 2 killed", SessionOptions().with_fault_plan(FaultPlan().kill_announced(2, 3))},
+  };
+  for (const auto& [name, session] : runs) {
+    SCOPED_TRACE(name);
+    const auto parallel = pph::sched::run_pieri(input, 4, session);
+    EXPECT_TRUE(parallel.complete());
+    EXPECT_EQ(pph::sched::canonical_solution_set(parallel.solutions), key);
+  }
 }
 
 // ---- the (2,2,4) seed sweep (the paper-scale known-loss replay) -------------

@@ -22,6 +22,7 @@
 #include "sched/pieri_scheduler.hpp"
 #include "schubert/pieri_homotopy.hpp"
 #include "schubert/pieri_solver.hpp"
+#include "schubert/pieri_walk.hpp"
 #include "schubert/poset.hpp"
 #include "util/prng.hpp"
 
@@ -375,16 +376,52 @@ TEST(CompiledPieri, PoliciesBitIdenticalWithEngineOn) {
   const PieriProblem pb{2, 2, 1};
   Prng rng(309);
   const auto input = pph::schubert::random_pieri_input(pb, rng);
-  pph::sched::ParallelPieriOptions fcfs;
-  fcfs.policy = pph::sched::Policy::kFCFS;
-  pph::sched::ParallelPieriOptions steal;
-  steal.policy = pph::sched::Policy::kBatchSteal;
-  const auto ra = pph::sched::run_pieri(input, 3, fcfs);
-  const auto rb = pph::sched::run_pieri(input, 3, steal);
+  using pph::sched::Policy;
+  using pph::sched::SessionOptions;
+  const auto ra = pph::sched::run_pieri(input, 3, SessionOptions().with_policy(Policy::kFCFS));
+  const auto rb =
+      pph::sched::run_pieri(input, 3, SessionOptions().with_policy(Policy::kBatchSteal));
   ASSERT_TRUE(ra.complete());
   ASSERT_TRUE(rb.complete());
   EXPECT_EQ(pph::sched::canonical_solution_set(ra.solutions),
             pph::sched::canonical_solution_set(rb.solutions));
+}
+
+TEST(CompiledPieri, EdgeReuseSlotSharesOneHomotopyPerInstanceRunWithFreshBits) {
+  // A worker tracks the sibling edges of one instance attempt through one
+  // homotopy (the walk's edge-reuse slot), and a reused homotopy gives the
+  // bits a freshly built one gives.
+  Prng rng(311);
+  const auto input = pph::schubert::random_pieri_input(PieriProblem{2, 2, 1}, rng);
+  pph::schubert::PieriTreeWalk walk(input, {});
+  pph::homotopy::TrackerWorkspace ws = walk.make_workspace();
+  const auto* slot = dynamic_cast<PieriEvalWorkspace*>(ws.hws.get());
+  ASSERT_NE(slot, nullptr);
+  std::size_t edges = 0, builds = 0;
+  const PieriEdgeHomotopy* last = nullptr;
+  while (walk.ready() > 0) {
+    const auto id = walk.pop();
+    const pph::schubert::PieriEdge edge = *walk.find(id);
+    const auto reused = walk.execute(edge, ws);
+    if (slot->edge.get() != last) ++builds;
+    last = slot->edge.get();
+    pph::homotopy::TrackerWorkspace cold = walk.make_workspace();
+    const auto fresh = walk.execute(edge, cold);
+    ASSERT_EQ(reused.status, fresh.status);
+    ASSERT_EQ(reused.x, fresh.x);
+    ASSERT_EQ(reused.newton_iterations, fresh.newton_iterations);
+    walk.consume(id, reused, 0.0);
+    ++edges;
+  }
+  pph::schubert::PieriSolveSummary summary;
+  walk.assemble(summary);
+  EXPECT_TRUE(summary.complete());
+  // Every pattern above the minimal one is an instance and needs at least
+  // one build; the FIFO walk keeps runs of sibling edges together, so far
+  // fewer builds than edges.
+  const pph::schubert::PatternPoset poset(input.problem);
+  EXPECT_GE(builds, poset.pattern_count() - 1);
+  EXPECT_LT(builds, edges);
 }
 
 }  // namespace

@@ -80,9 +80,9 @@ TEST_F(SchedulerTest, RunAndServeRejectTheSameOptions) {
   // The Pieri facade forwards its plan into the same validation.
   Prng rng(46);
   const auto input = pph::schubert::random_pieri_input(PieriProblem{2, 2, 0}, rng);
-  pph::sched::ParallelPieriOptions pieri;
-  pieri.fault_plan.kill_announced(0, 1);
-  EXPECT_THROW(pph::sched::run_pieri(input, 4, pieri), std::invalid_argument);
+  EXPECT_THROW(pph::sched::run_pieri(
+                   input, 4, SessionOptions().with_fault_plan(FaultPlan().kill_announced(0, 1))),
+               std::invalid_argument);
 }
 
 TEST_F(SchedulerTest, FcfsHonorsInitialJobsPerSlave) {
@@ -136,15 +136,17 @@ TEST(ParallelPieriSession, BatchStealMatchesFcfsSolutionSet) {
   const auto fcfs = pph::sched::run_pieri(input, 4);
   ASSERT_TRUE(fcfs.complete());
 
-  pph::sched::ParallelPieriOptions opts;
-  opts.policy = Policy::kBatchSteal;
-  const auto batch = pph::sched::run_pieri(input, 4, opts);
+  const auto batch =
+      pph::sched::run_pieri(input, 4, SessionOptions().with_policy(Policy::kBatchSteal));
   EXPECT_TRUE(batch.complete());
   EXPECT_EQ(batch.total_jobs, fcfs.total_jobs);
-  EXPECT_EQ(batch.jobs_per_level, fcfs.jobs_per_level);
+  ASSERT_EQ(batch.levels.size(), fcfs.levels.size());
+  for (std::size_t i = 0; i < fcfs.levels.size(); ++i) {
+    EXPECT_EQ(batch.levels[i].jobs, fcfs.levels[i].jobs) << "level " << i + 1;
+  }
   // Per-job FCFS dispatches every job exactly once (the baseline the
   // (3,2,1) batching test below measures against).
-  EXPECT_EQ(fcfs.dispatches, fcfs.total_jobs);
+  EXPECT_EQ(fcfs.session.dispatches, fcfs.total_jobs);
 
   // Identical solution sets, bit for bit.
   const auto a = canonical_solution_set(fcfs.solutions);
@@ -169,20 +171,18 @@ TEST(ParallelPieriSession, BatchStealBatchesDispatches) {
   const PieriProblem pb{3, 2, 1};  // 252 jobs
   Prng rng(44);
   const auto input = pph::schubert::random_pieri_input(pb, rng);
-  pph::sched::ParallelPieriOptions opts;
-  opts.policy = Policy::kBatchSteal;
-  const auto batch = pph::sched::run_pieri(input, 4, opts);
+  const auto batch =
+      pph::sched::run_pieri(input, 4, SessionOptions().with_policy(Policy::kBatchSteal));
   ASSERT_TRUE(batch.complete());
-  EXPECT_LT(batch.dispatches, (batch.total_jobs * 2) / 3);
+  EXPECT_LT(batch.session.dispatches, (batch.total_jobs * 2) / 3);
 }
 
 TEST(ParallelPieriSession, RejectsStaticPolicy) {
   const PieriProblem pb{2, 2, 0};
   Prng rng(46);
   const auto input = pph::schubert::random_pieri_input(pb, rng);
-  pph::sched::ParallelPieriOptions opts;
-  opts.policy = Policy::kStatic;
-  EXPECT_THROW(pph::sched::run_pieri(input, 3, opts), std::invalid_argument);
+  EXPECT_THROW(pph::sched::run_pieri(input, 3, SessionOptions().with_policy(Policy::kStatic)),
+               std::invalid_argument);
 }
 
 // ---- Pieri fail injection -----------------------------------------------------
@@ -194,9 +194,9 @@ TEST(ParallelPieriSession, SurvivesWorkerDeathUnderFcfs) {
   const auto healthy = pph::sched::run_pieri(input, 4);
   ASSERT_TRUE(healthy.complete());
 
-  pph::sched::ParallelPieriOptions opts;
-  opts.fault_plan.kill_announced(2, 3);  // rank 2 dies on its 4th edge
-  const auto report = pph::sched::run_pieri(input, 4, opts);
+  // Rank 2 dies on its 4th edge.
+  const auto report = pph::sched::run_pieri(
+      input, 4, SessionOptions().with_fault_plan(FaultPlan().kill_announced(2, 3)));
   // The master re-queues the dead slave's edges; the survivors finish the
   // tree with the full solution set.
   EXPECT_TRUE(report.complete());
@@ -211,10 +211,10 @@ TEST(ParallelPieriSession, SurvivesWorkerDeathUnderBatchSteal) {
   const PieriProblem pb{2, 2, 1};
   Prng rng(43);
   const auto input = pph::schubert::random_pieri_input(pb, rng);
-  pph::sched::ParallelPieriOptions opts;
-  opts.policy = Policy::kBatchSteal;
-  opts.fault_plan.kill_announced(1, 2);
-  const auto report = pph::sched::run_pieri(input, 4, opts);
+  const auto report = pph::sched::run_pieri(input, 4,
+                                            SessionOptions()
+                                                .with_policy(Policy::kBatchSteal)
+                                                .with_fault_plan(FaultPlan().kill_announced(1, 2)));
   EXPECT_TRUE(report.complete());
 }
 

@@ -112,9 +112,16 @@ TEST(FaultPlan, InjectorFiresAtJobBoundaries) {
 // exercises the other path).
 
 TEST_F(SchedulerTest, FcfsSurvivesSilentDeathByHeartbeatMiss) {
-  const auto opts = sched::SessionOptions()
-                        .with_fault_plan(mp::FaultPlan().kill(2, 3))
-                        .with_supervision(test_supervisor().without_speculation());
+  // Whichever survivor starts the pool's last job sleeps 0.1 s first (half
+  // the suspect window), so the other survivor has nothing to do for ~10
+  // heartbeats and must beacon, however slow the build is.  Without that
+  // window a slow survivor may never idle and heartbeats stays 0.
+  const std::uint64_t last_job = starts_.size() - 1;
+  const auto opts =
+      sched::SessionOptions()
+          .with_fault_plan(mp::FaultPlan().kill(2, 3).add(
+              {mp::kAnyFaultRank, mp::FaultKind::kStraggle, 0, last_job, 0.1}))
+          .with_supervision(test_supervisor().without_speculation());
   sched::VectorJobSource source(workload_);
   sched::InMemoryReportSink sink;
   sched::Session session(source, sink, opts);

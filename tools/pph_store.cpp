@@ -248,16 +248,24 @@ void append_histogram_json(std::string& out, const char* name,
                            const store::analytics::DecadeHistogram& h) {
   out += '"';
   out += name;
-  out += "\":{\"total\":" + std::to_string(h.total) +
-         ",\"zeros\":" + std::to_string(h.zeros) +
-         ",\"nonfinite\":" + std::to_string(h.nonfinite) + ",\"decades\":[";
+  out += "\":{\"total\":";
+  out += std::to_string(h.total);
+  out += ",\"zeros\":";
+  out += std::to_string(h.zeros);
+  out += ",\"nonfinite\":";
+  out += std::to_string(h.nonfinite);
+  out += ",\"decades\":[";
   bool first = true;
   for (int e = store::analytics::DecadeHistogram::kMinExp;
        e <= store::analytics::DecadeHistogram::kMaxExp; ++e) {
     if (h.bucket(e) == 0) continue;
     if (!first) out += ',';
     first = false;
-    out += "[" + std::to_string(e) + "," + std::to_string(h.bucket(e)) + "]";
+    out += '[';
+    out += std::to_string(e);
+    out += ',';
+    out += std::to_string(h.bucket(e));
+    out += ']';
   }
   out += "]}";
 }
