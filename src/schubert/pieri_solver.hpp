@@ -62,7 +62,8 @@ std::vector<std::size_t> rescue_targets(const std::vector<homotopy::PathResult>&
 
 /// Per-level accounting (the rows of the paper's Table III).  Every tracked
 /// path charges its seconds and Newton iterations to its level; `jobs`
-/// counts tree edges only (retried edges included, rescue re-tracks not).
+/// counts the tree edges of each instance's final attempt (the edges of a
+/// superseded attempt and rescue re-tracks are not counted).
 struct PieriLevelStats {
   std::size_t level = 0;
   std::uint64_t jobs = 0;
@@ -95,8 +96,9 @@ struct PieriSolveSummary {
   std::uint64_t rescue_retracks = 0;
   std::uint64_t rescued_instances = 0;
   std::uint64_t suspect_paths = 0;
-  /// Seconds of every tree edge, in the order the results were consumed;
-  /// this is the workload sample fed to the cluster simulator.
+  /// Seconds of the tree edges counted in `jobs`, instance by instance in
+  /// the order the instances settled; this is the workload sample fed to
+  /// the cluster simulator.
   std::vector<double> job_seconds;
   /// High-water mark of simultaneously live instances: the memory
   /// footprint argument of paper section III-C (tree nodes die fast).

@@ -1,6 +1,7 @@
 #include "schubert/pieri_walk.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <stdexcept>
 
 #include "util/logging.hpp"
@@ -85,10 +86,7 @@ homotopy::TrackerWorkspace PieriTreeWalk::make_workspace() const {
 homotopy::PathResult PieriTreeWalk::execute(const PieriEdge& edge,
                                             homotopy::TrackerWorkspace& ws) const {
   auto* pw = dynamic_cast<PieriEvalWorkspace*>(ws.hws.get());
-  if (pw == nullptr) {  // not from make_workspace(): install one
-    ws.hws = std::make_unique<PieriEvalWorkspace>();
-    pw = static_cast<PieriEvalWorkspace*>(ws.hws.get());
-  }
+  assert(pw != nullptr && "PieriTreeWalk::execute needs a workspace from make_workspace()");
   // The edge-reuse slot: consecutive edges into one instance attempt share
   // the deformation, so they share one homotopy and its compiled tape.
   if (!pw->edge || pw->edge_attempt != edge.attempt || pw->edge_pivots != edge.pivots) {
@@ -127,13 +125,16 @@ bool PieriTreeWalk::consume(EdgeId id, const homotopy::PathResult& result, doubl
   inst.results[job.start_index] = result;
   if (job.edge.rescue == 0) {
     ++inst.received;
-    ++stats.jobs;
-    job_seconds_.push_back(seconds);
+    inst.sweep_seconds.push_back(seconds);
   } else {
     --inst.outstanding_rescue;
   }
-  if (inst.received < inst.expected || inst.outstanding_rescue > 0) return true;
+  check(job.edge.pivots, inst);
+  return true;
+}
 
+void PieriTreeWalk::check(const std::vector<std::size_t>& pivots, Instance& inst) {
+  if (inst.received < inst.expected || inst.outstanding_rescue > 0) return;
   // Instance complete: quality control.  Targeted same-deformation rescue
   // first: the start-to-root correspondence is fixed by gamma, so only a
   // same-gamma re-track recovers the root a path actually leads to.  The
@@ -146,13 +147,12 @@ bool PieriTreeWalk::consume(EdgeId id, const homotopy::PathResult& result, doubl
     rescue_retracks_ += targets.size();
     inst.outstanding_rescue = targets.size();
     for (const std::size_t i : targets) {
-      add_edge(job.edge.pivots, inst.attempt, inst.rescue_round, static_cast<std::uint32_t>(i),
+      add_edge(pivots, inst.attempt, inst.rescue_round, static_cast<std::uint32_t>(i),
                inst.starts[i]);
     }
-    return true;
+    return;
   }
-  settle(job.edge.pivots, inst);
-  return true;
+  settle(pivots, inst);
 }
 
 void PieriTreeWalk::settle(const std::vector<std::size_t>& pivots, Instance& inst) {
@@ -170,6 +170,7 @@ void PieriTreeWalk::settle(const std::vector<std::size_t>& pivots, Instance& ins
     ++inst.attempt;
     inst.rescue_round = 0;
     inst.received = 0;
+    inst.sweep_seconds.clear();
     inst.results.assign(inst.expected, {});
     for (std::size_t i = 0; i < inst.starts.size(); ++i) {
       add_edge(pivots, inst.attempt, 0, static_cast<std::uint32_t>(i), inst.starts[i]);
@@ -194,26 +195,39 @@ void PieriTreeWalk::settle(const std::vector<std::size_t>& pivots, Instance& ins
   } else if (inst.used_rescue) {
     ++rescued_instances_;
   }
-  if (pattern == root_) {
-    root_solutions_ = std::move(endpoints);
-  } else {
-    // Feed the edges of every pattern above (paper: "the master generates
-    // at most p new jobs per returned result" -- batched per instance here
-    // for the deformation consistency).
-    const PatternChart chart(pattern);
-    for (const Pattern& up : pattern.parents()) {
-      Instance& next = instance_of(up);
-      const PatternChart up_chart(up);
-      for (const auto& end : endpoints) {
-        next.starts.push_back(up_chart.embed_child(chart, end));
-        add_edge(up.pivots(), next.attempt, 0,
-                 static_cast<std::uint32_t>(next.starts.size() - 1), next.starts.back());
-      }
-    }
-  }
-  // Instance memory dies here (the Pieri-tree memory argument).
+  PieriLevelStats& stats = levels_[pattern.level() - 1];
+  stats.jobs += inst.sweep_seconds.size();
+  job_seconds_.insert(job_seconds_.end(), inst.sweep_seconds.begin(), inst.sweep_seconds.end());
+  // Instance memory dies here (the Pieri-tree memory argument); the
+  // pattern's identity outlives it for the feeding below.
+  const std::uint64_t chains = poset_.chain_count(pattern);
   instances_.erase(pivots);
   --active_instances_;
+  if (pattern == root_) {
+    root_solutions_ = std::move(endpoints);
+    return;
+  }
+  // Feed the edges of every pattern above (paper: "the master generates at
+  // most p new jobs per returned result" -- batched per instance here for
+  // the deformation consistency).  The chains lost here or below never
+  // arrive above, so each pattern above stops waiting for them; one whose
+  // every chain is lost settles empty.
+  const PatternChart chart(pattern);
+  const std::uint64_t lost_chains = chains - endpoints.size();
+  for (const Pattern& up : pattern.parents()) {
+    Instance& next = instance_of(up);
+    const PatternChart up_chart(up);
+    for (const auto& end : endpoints) {
+      next.starts.push_back(up_chart.embed_child(chart, end));
+      add_edge(up.pivots(), next.attempt, 0, static_cast<std::uint32_t>(next.starts.size() - 1),
+               next.starts.back());
+    }
+    if (lost_chains > 0) {
+      next.expected -= lost_chains;
+      next.results.resize(next.expected);
+      check(up.pivots(), next);
+    }
+  }
 }
 
 void PieriTreeWalk::assemble(PieriSolveSummary& out) const {

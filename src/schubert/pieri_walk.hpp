@@ -70,13 +70,17 @@ class PieriTreeWalk {
   /// every edge it tracks.  It holds the compiled tape caches and the
   /// edge-reuse slot, whose key assumes the walk's input and options.
   homotopy::TrackerWorkspace make_workspace() const;
-  /// Track one edge.  Reads only the input and the options, so workers may
-  /// call it concurrently, each with its own workspace.
+  /// Track one edge in a workspace from make_workspace().  Reads only the
+  /// input and the options, so workers may call it concurrently, each with
+  /// its own workspace.
   homotopy::PathResult execute(const PieriEdge& edge, homotopy::TrackerWorkspace& ws) const;
 
   /// Book the result of edge `id`, tracked in `seconds`.  Returns false
   /// for an unknown id and for a result of a superseded attempt; both are
-  /// dropped.  May create new ready edges.
+  /// dropped.  May create new ready edges.  Every booked edge charges its
+  /// seconds and Newton iterations to its level; `jobs` and `job_seconds`
+  /// take the first sweep of each instance's final attempt only, so they
+  /// match the poset's edge count whenever no path is lost.
   bool consume(EdgeId id, const homotopy::PathResult& result, double seconds);
 
   /// Fill the summary from the walk: solutions, verdicts, per-level
@@ -86,7 +90,8 @@ class PieriTreeWalk {
  private:
   /// State of one live (pattern, level) instance.
   struct Instance {
-    std::uint64_t expected = 0;   // chain count == number of incoming edges
+    /// Incoming edges: the chain count, less the chains lost below.
+    std::uint64_t expected = 0;
     std::uint32_t attempt = 0;
     std::uint32_t rescue_round = 0;       // targeted re-track rounds issued
     std::vector<CVector> starts;          // retained for retries
@@ -94,6 +99,7 @@ class PieriTreeWalk {
     /// rescue quality control needs full diagnostics, not just endpoints.
     std::vector<homotopy::PathResult> results;
     std::uint64_t received = 0;           // first-sweep results received
+    std::vector<double> sweep_seconds;    // their seconds, this attempt
     std::uint64_t outstanding_rescue = 0; // rescue re-tracks in flight
     bool used_rescue = false;
   };
@@ -106,6 +112,8 @@ class PieriTreeWalk {
   Instance& instance_of(const Pattern& pattern);
   void add_edge(const std::vector<std::size_t>& pivots, std::uint32_t attempt,
                 std::uint32_t rescue, std::uint32_t start_index, CVector start);
+  /// Quality control once every expected edge and rescue has reported.
+  void check(const std::vector<std::size_t>& pivots, Instance& inst);
   void settle(const std::vector<std::size_t>& pivots, Instance& inst);
 
   const PieriInput* input_;

@@ -4,7 +4,8 @@
 // fresh-gamma rescue on a deterministic singular-deformation fixture,
 // certification property tests (dropped / duplicated / perturbed solutions
 // must be rejected), Pieri solves certified against the exact chain count,
-// rescue fault injection under a killed slave, and the env-gated (2,2,4)
+// rescue fault injection under a killed slave, partial solution sets when
+// paths are lost for good, and the env-gated (2,2,4)
 // seed sweep that replays the historically path-losing instances.
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <cmath>
 #include <complex>
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <utility>
@@ -20,6 +22,7 @@
 #include "homotopy/solver.hpp"
 #include "sched/pieri_scheduler.hpp"
 #include "schubert/pieri_solver.hpp"
+#include "schubert/pieri_walk.hpp"
 #include "util/dd.hpp"
 #include "util/prng.hpp"
 
@@ -451,6 +454,84 @@ TEST(PieriRescueFaultInjection, SequentialAndParallelAgreeBitForBit) {
     const auto parallel = pph::sched::run_pieri(input, 4, session);
     EXPECT_TRUE(parallel.complete());
     EXPECT_EQ(pph::sched::canonical_solution_set(parallel.solutions), key);
+  }
+}
+
+// The Pieri tree level by level without rescue or retries: every pattern
+// tracks each converged endpoint of its children under its attempt-0
+// deformation, and a lost path loses every chain through it.  Returns the
+// canonical root set; `lost` counts the paths that did not converge.
+std::vector<std::vector<Complex>> level_by_level_root_set(const pph::schubert::PieriInput& input,
+                                                          const PieriSolverOptions& opts,
+                                                          std::uint64_t& lost) {
+  using namespace pph::schubert;
+  const PatternPoset poset(input.problem);
+  std::map<std::vector<std::size_t>, std::vector<CVector>> current;
+  current[Pattern::minimal(input.problem).pivots()] = {CVector{}};
+  lost = 0;
+  for (std::size_t level = 1; level < poset.levels(); ++level) {
+    std::map<std::vector<std::size_t>, std::vector<CVector>> next;
+    const std::vector<PlaneCondition> fixed(input.conditions.begin(),
+                                            input.conditions.begin() + (level - 1));
+    for (const Pattern& pattern : poset.patterns_at_level(level)) {
+      const PatternChart chart(pattern);
+      const auto def = instance_deformation(opts.gamma_seed, pattern.pivots(), 0);
+      PieriEdgeHomotopy h(chart, fixed, input.conditions[level - 1], def.gamma, def.detour_s,
+                          def.detour_u);
+      h.set_compiled(opts.compiled_eval);
+      pph::homotopy::TrackerWorkspace ws(h);
+      auto& ends = next[pattern.pivots()];
+      for (const Pattern& child : pattern.children()) {
+        for (const CVector& coords : current[child.pivots()]) {
+          const auto r = pph::homotopy::track_path(
+              h, chart.embed_child(PatternChart(child), coords), attempt_tracker(opts, 0), ws);
+          if (r.converged()) {
+            ends.push_back(r.x);
+          } else {
+            ++lost;
+          }
+        }
+      }
+    }
+    current = std::move(next);
+  }
+  const Pattern root = Pattern::root(input.problem);
+  std::vector<PieriMap> solutions;
+  for (const CVector& coords : current[root.pivots()]) {
+    solutions.emplace_back(PatternChart(root), coords);
+  }
+  return pph::sched::canonical_solution_set(solutions);
+}
+
+TEST(PieriLostPaths, PartialSetsReachTheRootUnderEveryDrain) {
+  // A path lost for good must cost only the chains through it: the patterns
+  // above stop waiting for them, and the root gets every surviving chain's
+  // solution -- the level-by-level set, bit for bit, under each drain.  A
+  // tight step budget with rescue and retries off forces the losses.
+  Prng rng(2);
+  const auto input = pph::schubert::random_pieri_input(PieriProblem{2, 2, 1}, rng);
+  for (const std::size_t max_steps : {20u, 25u, 30u, 40u}) {
+    SCOPED_TRACE(max_steps);
+    PieriSolverOptions opts;
+    opts.rescue = false;
+    opts.max_retries = 0;
+    opts.tracker.max_steps = max_steps;
+    std::uint64_t lost = 0;
+    const auto reference = level_by_level_root_set(input, opts, lost);
+    const auto sequential = pph::schubert::solve_pieri(input, opts);
+    EXPECT_GT(sequential.failures, 0u);
+    EXPECT_EQ(sequential.failures, lost);
+    EXPECT_GT(sequential.solutions.size(), 0u);
+    EXPECT_LE(sequential.solutions.size() + sequential.failures, sequential.expected_count);
+    EXPECT_EQ(pph::sched::canonical_solution_set(sequential.solutions), reference);
+    for (const auto& [name, session] :
+         {std::pair<const char*, SessionOptions>{"FCFS", SessionOptions()},
+          {"BatchSteal", SessionOptions().with_policy(Policy::kBatchSteal)}}) {
+      SCOPED_TRACE(name);
+      const auto parallel = pph::sched::run_pieri(input, 4, session, opts);
+      EXPECT_EQ(parallel.failures, lost);
+      EXPECT_EQ(pph::sched::canonical_solution_set(parallel.solutions), reference);
+    }
   }
 }
 
