@@ -21,6 +21,10 @@ namespace pph::linalg {
 /// into the object (no copy) and the pivot vector is reused.  After the
 /// first factorization of a given size, `factor` + `solve_into` allocate
 /// nothing.
+///
+/// The pivot is the first row of largest std::abs in its column and the
+/// arithmetic rounds exactly like a textbook std::complex elimination, on
+/// every CPU (DESIGN.md section 6; the kernels are in lu_kernel.hpp).
 class LU {
  public:
   LU() = default;
@@ -29,7 +33,8 @@ class LU {
   /// Factor `a` in place, taking over its storage.  On return `a` holds the
   /// previous factorization's buffer resized to a's shape with unspecified
   /// contents — callers that refill their matrix every iteration (the
-  /// tracker workspace) never see an allocation after warm-up.
+  /// tracker workspace) never see an allocation after warm-up.  ||A||_inf
+  /// is not computed, so `rcond_estimate` is unavailable afterwards.
   void factor(CMatrix& a);
 
   std::size_t dim() const { return n_; }
@@ -55,7 +60,10 @@ class LU {
   /// Reciprocal condition estimate in the infinity norm:
   /// 1 / (||A||_inf * ||A^-1||_inf_estimate), where ||A^-1|| is estimated by
   /// a few solves against +/-1 vectors (Hager-style, one sweep).  Returns 0
-  /// for singular factorizations.
+  /// for singular factorizations.  Precondition: the factorization came
+  /// from `LU(const CMatrix&)`, the only path that records ||A||_inf;
+  /// after a default construction or an in-place `factor` it throws
+  /// std::logic_error.
   double rcond_estimate() const;
 
   /// Smallest |U(i,i)| over the diagonal, a cheap pivot-based degeneracy
@@ -68,7 +76,7 @@ class LU {
   std::vector<std::size_t> piv_;  // row permutation
   int perm_sign_ = 1;
   bool singular_ = false;
-  double norm_a_inf_ = 0.0;
+  std::optional<double> norm_a_inf_;  // ||A||_inf; set only by LU(const CMatrix&)
 };
 
 /// Convenience wrappers.
